@@ -21,14 +21,11 @@
 //! count.
 
 use crate::Budgeted;
-use farmer_core::measures::{self, chi_square, Contingency};
-use farmer_core::session::{MineControl, MineObserver, PruneReason, StopCause};
-use farmer_core::{
-    minelb, ExtraConstraint, MineResult, MineStats, Miner, MiningParams, RuleGroup, SchedStats,
-};
+use farmer_core::assembly::{self, Thresholds};
+use farmer_core::session::{MineControl, MineObserver, StopCause};
+use farmer_core::{minelb, MineResult, MineStats, Miner, MiningParams, RuleGroup, SchedStats};
 use farmer_dataset::Dataset;
 use rowset::{IdList, RowSet};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Attributes an early stop observed through `Budgeted::BudgetExhausted`
@@ -44,15 +41,11 @@ fn stop_cause(ctl: &MineControl) -> StopCause {
     }
 }
 
-/// FARMER's step-7 interestingness filter over candidate rule groups
-/// given as `(upper bound, antecedent support set)` pairs.
-///
-/// Candidates are ordered by generality (fewer items first, ties by
-/// itemset order); a candidate survives iff it meets the support,
-/// confidence, χ² and extra-measure thresholds and no strictly more
-/// general survivor has confidence `>=` its own. Mirrors the filter in
-/// `farmer_core::miner` and `column_e` so all engines answer the same
-/// question.
+/// FARMER's assembly over candidate rule groups given as `(upper
+/// bound, antecedent support set)` pairs, through the same
+/// [`assembly`] calls the miner makes: non-empty candidates passing the
+/// thresholds, in generality order with duplicates removed, then step
+/// 7, then lower bounds for the survivors.
 fn irg_filter<O: MineObserver + ?Sized>(
     data: &Dataset,
     params: &MiningParams,
@@ -63,63 +56,30 @@ fn irg_filter<O: MineObserver + ?Sized>(
     let n = data.n_rows();
     let m = data.class_count(params.target_class);
     let class_rows = data.class_rows(params.target_class);
-    let mut cands: Vec<(IdList, RowSet, usize)> = candidates
+    let thresholds = Thresholds::new(params, n, m);
+    let mut cands: Vec<RuleGroup> = candidates
         .into_iter()
-        .map(|(upper, rows)| {
-            let sup_p = rows.intersection_len(&class_rows);
-            (upper, rows, sup_p)
+        .filter_map(|(upper, rows)| {
+            let sup = rows.intersection_len(&class_rows);
+            let neg_sup = rows.len() - sup;
+            (!upper.is_empty() && thresholds.admit(sup, neg_sup).is_some()).then(|| RuleGroup {
+                upper,
+                lower: Vec::new(),
+                support_set: rows,
+                sup,
+                neg_sup,
+                class: params.target_class,
+                n_rows: n,
+                n_class: m,
+            })
         })
         .collect();
-    cands.sort_by(|a, b| a.0.len().cmp(&b.0.len()).then(a.0.cmp(&b.0)));
-
-    let mut groups: Vec<RuleGroup> = Vec::new();
-    for (upper, rows, sup_p) in cands {
-        if upper.is_empty() || sup_p < params.min_sup {
-            continue;
+    assembly::sort_dedup(&mut cands);
+    let mut groups = assembly::retain_interesting(cands, obs, stats);
+    if params.lower_bounds {
+        for g in &mut groups {
+            g.lower = minelb::mine_lower_bounds(&g.upper, &g.support_set, data);
         }
-        let sup_n = rows.len() - sup_p;
-        let conf = sup_p as f64 / (sup_p + sup_n) as f64;
-        if conf < params.min_conf {
-            continue;
-        }
-        let t = Contingency::new(sup_p + sup_n, sup_p, n, m);
-        if params.min_chi > 0.0 && chi_square(t) < params.min_chi {
-            continue;
-        }
-        let extras_ok = params.extra.iter().all(|c| match *c {
-            ExtraConstraint::MinLift(v) => measures::lift(t) >= v,
-            ExtraConstraint::MinConviction(v) => measures::conviction(t) >= v,
-            ExtraConstraint::MinEntropyGain(v) => measures::entropy_gain(t) >= v,
-            ExtraConstraint::MinGiniGain(v) => measures::gini_gain(t) >= v,
-            ExtraConstraint::MinCorrelation(v) => measures::correlation(t) >= v,
-        });
-        if !extras_ok {
-            continue;
-        }
-        let dominated = groups.iter().any(|g| {
-            g.upper.len() < upper.len() && g.upper.is_subset(&upper) && g.confidence() >= conf
-        });
-        if dominated {
-            stats.rejected_not_interesting += 1;
-            obs.pruned(PruneReason::NotInteresting);
-            continue;
-        }
-        let lower = if params.lower_bounds {
-            minelb::mine_lower_bounds(&upper, &rows, data)
-        } else {
-            Vec::new()
-        };
-        obs.group_emitted(sup_p, sup_n);
-        groups.push(RuleGroup {
-            upper,
-            lower,
-            support_set: rows,
-            sup: sup_p,
-            neg_sup: sup_n,
-            class: params.target_class,
-            n_rows: n,
-            n_class: m,
-        });
     }
     groups
 }
@@ -231,8 +191,8 @@ impl Miner for ClosetMiner {
 }
 
 /// Apriori behind the [`Miner`] interface: levelwise frequent itemsets,
-/// deduplicated to closed sets by closure of each support set, then the
-/// FARMER filter.
+/// each mapped to the closure of its support set, then the FARMER
+/// filter.
 #[derive(Clone, Debug)]
 pub struct AprioriMiner {
     /// Thresholds and target class for the interestingness filter.
@@ -253,15 +213,15 @@ impl Miner for AprioriMiner {
         match crate::apriori::apriori_with(data, self.params.min_sup, ctl, &mut *obs) {
             Budgeted::Done(frequent) => {
                 let nodes = frequent.len() as u64;
-                let mut by_rows: HashMap<Vec<usize>, (IdList, RowSet)> = HashMap::new();
-                for f in frequent {
-                    let rows = data.rows_supporting(&f.items);
-                    by_rows.entry(rows.to_vec()).or_insert_with(|| {
-                        let upper = data.items_common_to(&rows);
-                        (upper, rows)
-                    });
-                }
-                let cands = by_rows.into_values().collect();
+                // closures repeat across itemsets of one support set;
+                // the assembly's duplicate removal keeps one
+                let cands = frequent
+                    .into_iter()
+                    .map(|f| {
+                        let rows = data.rows_supporting(&f.items);
+                        (data.items_common_to(&rows), rows)
+                    })
+                    .collect();
                 completed(data, &self.params, cands, nodes, obs)
             }
             Budgeted::BudgetExhausted { nodes } => halted(data, &self.params, ctl, nodes),

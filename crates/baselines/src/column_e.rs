@@ -18,9 +18,9 @@
 //! exhaustion instead of hanging (see [`Budgeted`]).
 
 use crate::Budgeted;
-use farmer_core::measures::{self, chi_square, Contingency};
+use farmer_core::assembly::{self, Thresholds};
 use farmer_core::session::{ControlState, MineControl, MineObserver, NoOpObserver, PruneReason};
-use farmer_core::{ExtraConstraint, MiningParams, RuleGroup};
+use farmer_core::{MineStats, MiningParams, RuleGroup};
 use farmer_dataset::Dataset;
 use rowset::{IdList, RowSet};
 use std::collections::HashMap;
@@ -100,68 +100,33 @@ pub fn column_e_with<O: MineObserver + ?Sized>(
     let obs = ctx.obs;
 
     // assemble rule groups and apply the FARMER interestingness filter
-    let mut found: Vec<(IdList, IdList, RowSet, usize)> = ctx
-        .by_rows
-        .into_iter()
-        .map(|(key, rep)| {
-            let rows = RowSet::from_ids(n, key.iter().copied());
-            let upper = data.items_common_to(&rows);
-            let sup_p = rows.intersection_len(&class_rows);
-            (upper, rep, rows, sup_p)
-        })
-        .collect();
+    let thresholds = Thresholds::new(params, n, m);
     let stats = ColumnEStats {
-        groups_found: found.len() as u64,
+        groups_found: ctx.by_rows.len() as u64,
         ..ctx.stats
     };
-    // generality order, as in FARMER's step 7 / the naive oracle
-    found.sort_by(|a, b| a.0.len().cmp(&b.0.len()).then(a.0.cmp(&b.0)));
-
-    let mut groups: Vec<RuleGroup> = Vec::new();
-    for (upper, rep, rows, sup_p) in found {
-        if sup_p < params.min_sup {
-            continue;
-        }
-        let sup_n = rows.len() - sup_p;
-        let conf = sup_p as f64 / (sup_p + sup_n) as f64;
-        if conf < params.min_conf {
-            continue;
-        }
-        if params.min_chi > 0.0
-            && chi_square(Contingency::new(sup_p + sup_n, sup_p, n, m)) < params.min_chi
-        {
-            continue;
-        }
-        let t = Contingency::new(sup_p + sup_n, sup_p, n, m);
-        let extras_ok = params.extra.iter().all(|c| match *c {
-            ExtraConstraint::MinLift(v) => measures::lift(t) >= v,
-            ExtraConstraint::MinConviction(v) => measures::conviction(t) >= v,
-            ExtraConstraint::MinEntropyGain(v) => measures::entropy_gain(t) >= v,
-            ExtraConstraint::MinGiniGain(v) => measures::gini_gain(t) >= v,
-            ExtraConstraint::MinCorrelation(v) => measures::correlation(t) >= v,
-        });
-        if !extras_ok {
-            continue;
-        }
-        let dominated = groups.iter().any(|g| {
-            g.upper.len() < upper.len() && g.upper.is_subset(&upper) && g.confidence() >= conf
-        });
-        if dominated {
-            obs.pruned(PruneReason::NotInteresting);
-            continue;
-        }
-        obs.group_emitted(sup_p, sup_n);
-        groups.push(RuleGroup {
-            upper,
-            lower: vec![rep],
-            support_set: rows,
-            sup: sup_p,
-            neg_sup: sup_n,
-            class: params.target_class,
-            n_rows: n,
-            n_class: m,
-        });
-    }
+    let mut found: Vec<RuleGroup> = ctx
+        .by_rows
+        .into_iter()
+        .filter_map(|(key, rep)| {
+            let rows = RowSet::from_ids(n, key.iter().copied());
+            let sup = rows.intersection_len(&class_rows);
+            let neg_sup = rows.len() - sup;
+            thresholds.admit(sup, neg_sup)?;
+            Some(RuleGroup {
+                upper: data.items_common_to(&rows),
+                lower: vec![rep],
+                support_set: rows,
+                sup,
+                neg_sup,
+                class: params.target_class,
+                n_rows: n,
+                n_class: m,
+            })
+        })
+        .collect();
+    assembly::sort_dedup(&mut found);
+    let groups = assembly::retain_interesting(found, obs, &mut MineStats::default());
     Budgeted::Done(ColumnEResult { groups, stats })
 }
 

@@ -45,6 +45,8 @@
 //! * [`measures`] — support/confidence/χ² and the convex χ² upper bound
 //!   (Lemma 3.9), plus lift/conviction/entropy-gain/gini extensions;
 //! * [`minelb`] — the incremental lower-bound algorithm MineLB (§3.4);
+//! * [`assembly`] — the threshold test, generality order and step-7
+//!   domination check shared by every IRG producer;
 //! * [`naive`] — a brute-force oracle used to verify the miner exactly;
 //! * [`carpenter`] — the predecessor CARPENTER algorithm (closed-pattern
 //!   mining by row enumeration, KDD'03), sharing the same substrate.
@@ -52,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod assembly;
 pub mod carpenter;
 pub mod cobbler;
 pub mod cond;

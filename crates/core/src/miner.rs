@@ -1,7 +1,8 @@
 //! The FARMER search: depth-first row enumeration with pruning.
 
+use crate::assembly::{self, Candidate, Thresholds};
 use crate::cond::{BitsetNode, CondNode, Inspect, PointerNode};
-use crate::measures::{self, chi_square, chi_square_upper_bound, convex_upper_bound, Contingency};
+use crate::measures::{self, chi_square_upper_bound, convex_upper_bound, Contingency};
 use crate::memo::{self, MemoTable};
 use crate::minelb::mine_lower_bounds;
 use crate::params::{Engine, ExtraConstraint, MiningParams, PruningConfig};
@@ -131,14 +132,16 @@ impl Farmer {
     }
 
     /// Switches the search into *harvest mode*: every closed group
-    /// passing the support/confidence/χ² thresholds is returned, with
-    /// the step-7 interestingness comparison skipped entirely (not
-    /// merely deferred to the parallel merge). The incremental remine
-    /// engine needs this because interestingness is a *global* property
-    /// — a group untouched by a delta can become interesting when a
-    /// delta kills its dominator — so the pipeline caches the full
-    /// threshold-passing set and re-runs the comparison itself at
-    /// publish time.
+    /// passing the support/confidence/χ² thresholds is returned, in
+    /// generality order, with the step-7 interestingness comparison
+    /// skipped. A harvest always takes the deferred path of
+    /// [`with_parallelism`](Self::with_parallelism) — workers collect,
+    /// the merge removes duplicates — and the merge simply does not
+    /// judge. The incremental remine engine needs this because
+    /// interestingness is a *global* property — a group untouched by a
+    /// delta can become interesting when a delta kills its dominator —
+    /// so the pipeline caches the full threshold-passing set and runs
+    /// the comparison itself (through [`assembly`]) at publish time.
     pub fn with_harvest(mut self, on: bool) -> Self {
         self.harvest = on;
         self
@@ -182,10 +185,12 @@ impl Farmer {
     ///
     /// The subtrees are independent: pruning strategies 1–3 depend only
     /// on a node's own path, so each worker claims root candidates from
-    /// a shared work-stealing queue and searches them with the full
-    /// machinery, and the interestingness comparison of step 7 — the
-    /// only globally ordered step — runs as a definition-equivalent
-    /// post-pass over the merged groups. Results are identical to the
+    /// per-worker work-stealing deques and searches them with the full
+    /// machinery. The interestingness comparison of step 7 — the only
+    /// globally ordered step — is deferred: workers only collect
+    /// threshold-passing groups, and the merge sorts them by
+    /// generality, removes duplicates and judges each once (equivalent
+    /// by Lemma 3.4). Results are identical to the
     /// sequential run (enforced by tests). A node budget is drawn from
     /// one shared pool, so a budgeted run expands exactly `budget` nodes
     /// in total regardless of thread count (which nodes depends on the
@@ -216,16 +221,35 @@ impl Farmer {
     /// The memo table this run should use, if any: requested *and*
     /// sound. A memo hit asserts "an equal closed row set already
     /// passed the back scan", which substitutes for this node's back
-    /// scan only while strategy 2 performs that scan and strategy 1
-    /// guarantees at most one back-scan survivor per closed set —
-    /// with compression off, both `{z₁}`-closers and deeper
-    /// `{z₁,z₂}`-closers survive the scan, and memo-pruning the deeper
-    /// one would drop its descendants' groups.
+    /// scan only while exactly one node per closed set passes it (see
+    /// [`emits_each_closed_set_once`](Self::emits_each_closed_set_once));
+    /// otherwise memo-pruning a deeper closer would drop its
+    /// descendants' groups.
     fn memo_table(&self) -> Option<MemoTable> {
-        (self.memo_capacity > 0
-            && self.pruning.strategy1_compression
-            && self.pruning.strategy2_duplicate)
+        (self.memo_capacity > 0 && self.emits_each_closed_set_once())
             .then(|| MemoTable::new(self.memo_capacity))
+    }
+
+    /// Strategies 1 and 2 together let exactly one node emit each closed
+    /// set. With compression off, a `{z₁}`-closer and the deeper
+    /// `{z₁,z₂}`-closer both pass the back scan; with the back scan off,
+    /// every node reaching a closed set emits it.
+    fn emits_each_closed_set_once(&self) -> bool {
+        self.pruning.strategy1_compression && self.pruning.strategy2_duplicate
+    }
+
+    /// Whether step 7 runs inline as the sequential search emits each
+    /// group, in discovery order, against everything accepted so far
+    /// (Lemma 3.4: every more general group was judged before). That
+    /// needs one thread, a run that judges at all (not a harvest), and
+    /// one emission per closed set. Every other run takes the deferred
+    /// path of [`run_parallel`](Self::run_parallel) — with one worker
+    /// when `threads` is 1 — whose merge removes duplicates and judges
+    /// each group once. Inline judging is what makes a truncated run's
+    /// groups an exact prefix of the full run's discovery order, so the
+    /// sequential default keeps it.
+    fn judges_inline(&self) -> bool {
+        self.threads == 1 && !self.harvest && self.emits_each_closed_set_once()
     }
 
     /// Mines all interesting rule groups of `data` for the configured
@@ -317,7 +341,7 @@ impl Farmer {
             fr
         });
         let frontier = frontier.as_ref();
-        if self.threads > 1 {
+        if !self.judges_inline() {
             return match self.engine {
                 Engine::Bitset => self.run_parallel(
                     &BitsetNode::root(&reordered),
@@ -390,14 +414,13 @@ impl Farmer {
     {
         let n = reordered.n_rows();
         let m = tt.n_target();
-        let eff_min_conf = self.effective_min_conf(n, m);
         let memo = self.memo_table();
         let mut ctx = Ctx {
             params: &self.params,
+            thresholds: Thresholds::new(&self.params, n, m),
             pruning: &self.pruning,
             n,
             m,
-            eff_min_conf,
             pos_mask: RowSet::from_ids(n, 0..m),
             ctl: ctl.state_with_budget(self.resolve_budget(ctl)),
             heartbeat_every: ctl.heartbeat_every,
@@ -407,7 +430,6 @@ impl Farmer {
             lane: trace::LANE_MAIN,
             stats: MineStats::default(),
             irgs: Vec::new(),
-            defer_interesting: self.harvest,
             frontier,
             memo: memo.as_ref(),
             split: None,
@@ -456,9 +478,17 @@ impl Farmer {
     /// shared root scan — the visited-node multiset is identical to the
     /// unsplit run, so [`MineStats`] stay deterministic. Workers also
     /// share one [`MemoTable`] (when enabled), letting any worker skip
-    /// subtrees another already closed. Threshold-passing groups are
-    /// merged and the interestingness filter runs as a final pass
-    /// (equivalent to step 7 by Lemma 3.4); for complete runs the merged
+    /// subtrees another already closed.
+    ///
+    /// This is also the *deferred* assembly path for every run that
+    /// cannot judge inline (see [`judges_inline`](Self::judges_inline)),
+    /// so it runs with a single worker too. A worker's emit only pushes
+    /// each threshold-passing group — no scan over what it has
+    /// collected. The merge concatenates the workers' groups, puts them
+    /// in generality order with duplicate uppers removed
+    /// ([`assembly::sort_dedup`]), and judges each group once
+    /// ([`assembly::retain_interesting`], equivalent to step 7 by Lemma
+    /// 3.4); a harvest keeps them all. For complete runs the merged
     /// output and [`MineStats`] are deterministic regardless of
     /// scheduling. The workers run uninstrumented (their `MineStats`
     /// already tally everything); after the join, `obs` receives each
@@ -494,7 +524,6 @@ impl Farmer {
     {
         let n = reordered.n_rows();
         let m = tt.n_target();
-        let eff_min_conf = self.effective_min_conf(n, m);
         let threads = self.threads;
         let shared_budget = self.resolve_budget(ctl).map(SharedBudget::new);
         let budget = shared_budget.as_ref();
@@ -551,10 +580,10 @@ impl Farmer {
                         let mut noop = NoOpObserver;
                         let mut ctx = Ctx {
                             params: &self.params,
+                            thresholds: Thresholds::new(&self.params, n, m),
                             pruning: &self.pruning,
                             n,
                             m,
-                            eff_min_conf,
                             pos_mask: RowSet::from_ids(n, 0..m),
                             ctl: ctl.state_with_shared(budget),
                             heartbeat_every: 0,
@@ -564,7 +593,6 @@ impl Farmer {
                             lane,
                             stats: MineStats::default(),
                             irgs: Vec::new(),
-                            defer_interesting: true,
                             frontier,
                             memo: memo_ref,
                             split: Some(SplitCtx {
@@ -767,12 +795,11 @@ impl Farmer {
             obs.worker_finished(worker, s);
         }
 
-        // merge: dedupe by upper bound, combine stats
+        // merge: combine stats, then step 7 over every worker's groups
         let _merge = trace::span(tracer, trace::LANE_MAIN, trace::SPAN_MERGE);
         let mut stats = MineStats::default();
         let mut sched = SchedStats::default();
-        let mut by_upper: std::collections::HashMap<IdList, Pending> =
-            std::collections::HashMap::new();
+        let mut found: Vec<Pending> = Vec::new();
         for (pendings, s, steals, peak) in results {
             stats.nodes_visited += s.nodes_visited;
             stats.pruned_duplicate += s.pruned_duplicate;
@@ -788,46 +815,22 @@ impl Farmer {
             sched.steals += steals;
             sched.worker_nodes.push(s.nodes_visited);
             sched.peak_arena_depth = sched.peak_arena_depth.max(peak);
-            for p in pendings {
-                by_upper.entry(p.upper.clone()).or_insert(p);
-            }
+            found.extend(pendings);
         }
         sched.memo = memo.as_ref().map(MemoTable::snapshot).unwrap_or_default();
         emit_memo_counters(tracer, &sched.memo);
 
-        // final interestingness pass: generality order, keep a group iff
-        // no accepted more-general group has confidence >= its own
-        let mut pendings: Vec<Pending> = by_upper.into_values().collect();
-        pendings.sort_by(|a, b| {
-            a.upper
-                .len()
-                .cmp(&b.upper.len())
-                .then_with(|| a.upper.cmp(&b.upper))
-        });
-        let mut accepted: Vec<Pending> = Vec::new();
-        for p in pendings {
-            // harvest mode returns the full threshold-passing set; the
-            // caller owns the interestingness comparison
-            let dominated = !self.harvest
-                && accepted.iter().any(|a| {
-                    a.upper.len() < p.upper.len() && a.upper.is_subset(&p.upper) && a.conf >= p.conf
-                });
-            if dominated {
-                stats.rejected_not_interesting += 1;
-                obs.pruned(PruneReason::NotInteresting);
-            } else {
+        assembly::sort_dedup(&mut found);
+        let groups = if self.harvest {
+            for p in &found {
                 obs.group_emitted(p.sup_p, p.sup_n);
-                accepted.push(p);
             }
-        }
+            found
+        } else {
+            assembly::retain_interesting(found, obs, &mut stats)
+        };
         drop(_merge);
-        self.package(accepted, stats, sched, reordered, order, n, m, tracer)
-    }
-
-    /// Folds any lift/conviction extras into the confidence threshold
-    /// (see [`MiningParams::effective_min_conf`]).
-    fn effective_min_conf(&self, n: usize, m: usize) -> f64 {
-        self.params.effective_min_conf(n, m)
+        self.package(groups, stats, sched, reordered, order, n, m, tracer)
     }
 
     /// Maps pending groups back to original row ids, attaches lower
@@ -940,13 +943,28 @@ struct Pending {
     conf: f64,
 }
 
+impl Candidate for Pending {
+    fn upper(&self) -> &IdList {
+        &self.upper
+    }
+
+    fn counts(&self) -> (usize, usize) {
+        (self.sup_p, self.sup_n)
+    }
+
+    fn conf(&self) -> f64 {
+        self.conf
+    }
+}
+
 struct Ctx<'a, O: MineObserver + ?Sized, T: TraceSink + ?Sized> {
     params: &'a MiningParams,
+    /// The emission test; its `min_conf` (tightened by any
+    /// lift/conviction extras) also drives the confidence bounds.
+    thresholds: Thresholds<'a>,
     pruning: &'a PruningConfig,
     n: usize,
     m: usize,
-    /// `min_conf` tightened by any lift/conviction extras.
-    eff_min_conf: f64,
     pos_mask: RowSet,
     /// Budget / deadline / stop-flag checks, one tick per node.
     ctl: ControlState<'a>,
@@ -959,10 +977,9 @@ struct Ctx<'a, O: MineObserver + ?Sized, T: TraceSink + ?Sized> {
     /// The trace lane this context records on.
     lane: usize,
     stats: MineStats,
+    /// Emitted groups: the accepted IRGs in the sequential run, every
+    /// threshold-passing group in a worker.
     irgs: Vec<Pending>,
-    /// Parallel mode: skip the step-7 interestingness comparison here
-    /// and let the merge phase run it over all threads' groups.
-    defer_interesting: bool,
     /// Delta-restricted remine: prune subtrees that cannot reach these
     /// rows and emit only groups whose support set touches them, in
     /// reordered (ORD) id space. `None` = unrestricted.
@@ -971,7 +988,9 @@ struct Ctx<'a, O: MineObserver + ?Sized, T: TraceSink + ?Sized> {
     /// config (see [`Farmer::memo_table`]).
     memo: Option<&'a MemoTable>,
     /// Parallel mode: the deque/starvation hooks for adaptive
-    /// splitting. `None` in sequential runs.
+    /// splitting. `None` in the sequential run, which is also the one
+    /// run that judges step 7 inline at emit (see
+    /// [`Farmer::judges_inline`]); workers leave it to the merge.
     split: Option<SplitCtx<'a>>,
     /// Index (into the parallel run's candidate list) of the depth-1
     /// root this context is currently under — split tasks carry it so
@@ -1117,10 +1136,10 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
                 self.obs.pruned(PruneReason::LooseBound);
                 return;
             }
-            if self.eff_min_conf > 0.0 {
+            if self.thresholds.min_conf > 0.0 {
                 let supn_in = parent_sup_n + usize::from(!last_is_pos);
                 let uc2 = us2 as f64 / (us2 + supn_in) as f64;
-                if uc2 < self.eff_min_conf {
+                if uc2 < self.thresholds.min_conf {
                     self.stats.pruned_loose += 1;
                     self.obs.pruned(PruneReason::LooseBound);
                     return;
@@ -1265,9 +1284,9 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
                 self.obs.pruned(PruneReason::TightSupport);
                 return;
             }
-            if self.eff_min_conf > 0.0 {
+            if self.thresholds.min_conf > 0.0 {
                 let uc1 = us1 as f64 / (us1 + sup_n) as f64;
-                if uc1 < self.eff_min_conf {
+                if uc1 < self.thresholds.min_conf {
                     self.stats.pruned_tight_confidence += 1;
                     self.obs.pruned(PruneReason::TightConfidence);
                     return;
@@ -1282,7 +1301,7 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
                 }
             }
             // footnote-3 extras with convexity-based bounds (lift and
-            // conviction already act through eff_min_conf)
+            // conviction already act through the confidence floor)
             if !self.params.extra.is_empty() {
                 let t = Contingency::new(sup_p + sup_n, sup_p, self.n, self.m);
                 for c in &self.params.extra {
@@ -1409,67 +1428,25 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
                 return;
             }
         }
-        if sup_p < self.params.min_sup {
+        let Some(conf) = self.thresholds.admit(sup_p, sup_n) else {
             return;
-        }
-        let conf = sup_p as f64 / (sup_p + sup_n) as f64;
-        if conf < self.eff_min_conf {
-            return;
-        }
-        if self.params.min_chi > 0.0 {
-            let chi = chi_square(Contingency::new(sup_p + sup_n, sup_p, self.n, self.m));
-            if chi < self.params.min_chi {
-                return;
-            }
-        }
-        if !self.params.extra.is_empty() {
-            let t = Contingency::new(sup_p + sup_n, sup_p, self.n, self.m);
-            for c in &self.params.extra {
-                let ok = match *c {
-                    ExtraConstraint::MinLift(v) => measures::lift(t) >= v,
-                    ExtraConstraint::MinConviction(v) => measures::conviction(t) >= v,
-                    ExtraConstraint::MinEntropyGain(v) => measures::entropy_gain(t) >= v,
-                    ExtraConstraint::MinGiniGain(v) => measures::gini_gain(t) >= v,
-                    ExtraConstraint::MinCorrelation(v) => measures::correlation(t) >= v,
-                };
-                if !ok {
-                    return;
-                }
-            }
-        }
-        let upper = IdList::from_iter(node.items().iter().copied());
-        // a more general group has a strictly larger antecedent support
-        // set (proper item subset ⟹ proper row superset), so integer and
-        // confidence comparisons screen out almost every candidate before
-        // the subset test — this loop dominates runtime when tens of
-        // thousands of IRGs accumulate
-        let total = sup_p + sup_n;
-        for g in &self.irgs {
-            let g_total = g.sup_p + g.sup_n;
-            if g_total == total && g.upper == upper {
-                // duplicate discovery — only reachable with pruning
-                // strategy 2 disabled
-                return;
-            }
-            if !self.defer_interesting
-                && g_total > total
-                && g.conf >= conf
-                && g.upper.len() < upper.len()
-                && g.upper.is_subset(&upper)
-            {
-                self.stats.rejected_not_interesting += 1;
-                self.obs.pruned(PruneReason::NotInteresting);
-                return;
-            }
-        }
-        self.obs.group_emitted(sup_p, sup_n);
-        self.irgs.push(Pending {
-            upper,
+        };
+        let p = Pending {
+            upper: IdList::from_iter(node.items().iter().copied()),
             rows: f.ins.z.clone(),
             sup_p,
             sup_n,
             conf,
-        });
+        };
+        // the sequential run judges here, against everything accepted so
+        // far; a worker only collects, and the merge judges
+        if self.split.is_none() && assembly::is_dominated(&self.irgs, &p) {
+            self.stats.rejected_not_interesting += 1;
+            self.obs.pruned(PruneReason::NotInteresting);
+            return;
+        }
+        self.obs.group_emitted(sup_p, sup_n);
+        self.irgs.push(p);
     }
 }
 

@@ -130,9 +130,8 @@ impl MiningParams {
     /// transformations of confidence once the class margin
     /// `p_c = n_class / n_rows` is fixed.
     ///
-    /// Exposed so out-of-tree re-filters (the streaming pipeline's
-    /// assembly pass re-screens cached groups after the margins moved)
-    /// apply exactly the emission test the miner would.
+    /// Every producer applies it through
+    /// [`Thresholds`](crate::assembly::Thresholds).
     pub fn effective_min_conf(&self, n_rows: usize, n_class: usize) -> f64 {
         let mut eff = self.min_conf;
         if n_rows > 0 {

@@ -172,8 +172,11 @@ pub struct Heartbeat {
 /// [`NoOpObserver`]) compiles to the exact code that existed before this
 /// layer — the hooks cost nothing unless implemented.
 ///
-/// **Parallel runs:** per-node events are not streamed from worker
-/// threads (that would either race or serialize the search). Instead
+/// **Parallel runs** (and every run `Farmer` assembles on the deferred
+/// path, even with one worker — harvests and the pruning ablations that
+/// can reach a closed set twice): per-node events are not streamed from
+/// worker threads (that would either race or serialize the search).
+/// Instead
 /// each worker's counters arrive through [`worker_finished`] in
 /// worker-index order after the join, and the merge phase — which is
 /// sequential and deterministic — fires [`group_emitted`] /

@@ -1,9 +1,9 @@
 //! FARMER vs the brute-force oracle: on small datasets the miner must
 //! reproduce the oracle's IRGs *exactly* — upper bounds, support sets,
-//! counts, and lower bounds — for every engine and every pruning
-//! configuration.
+//! counts, and lower bounds — for every engine, every pruning
+//! configuration, and both the sequential and the parallel assembly.
 
-use farmer_core::naive::{mine_naive, naive_lower_bounds};
+use farmer_core::naive::{enumerate_rule_groups, mine_naive, naive_lower_bounds};
 use farmer_core::{Engine, ExtraConstraint, Farmer, MiningParams, PruningConfig, RuleGroup};
 use farmer_dataset::{paper_example, Dataset, DatasetBuilder};
 use farmer_support::rng::{Rng, SeedableRng, StdRng};
@@ -60,15 +60,19 @@ fn check_all_configs(data: &Dataset, params: &MiningParams) {
     let expected = canon(&mine_naive(data, params));
     for engine in engines() {
         for pruning in pruning_configs() {
-            let result = Farmer::new(params.clone())
-                .with_engine(engine)
-                .with_pruning(pruning)
-                .mine(data);
-            assert_eq!(
-                canon(&result.groups),
-                expected,
-                "mismatch: engine={engine:?} pruning={pruning:?} params={params:?}"
-            );
+            for threads in [1, 2] {
+                let result = Farmer::new(params.clone())
+                    .with_engine(engine)
+                    .with_pruning(pruning)
+                    .with_parallelism(threads)
+                    .mine(data);
+                assert_eq!(
+                    canon(&result.groups),
+                    expected,
+                    "mismatch: engine={engine:?} pruning={pruning:?} threads={threads} \
+                     params={params:?}"
+                );
+            }
         }
     }
 }
@@ -304,4 +308,66 @@ fn stats_reflect_pruning() {
         s.pruned_loose + s.pruned_tight_support + s.pruned_tight_confidence > 0,
         "{s:?}"
     );
+}
+
+#[test]
+fn harvest_returns_each_threshold_passing_closed_group_once() {
+    // with strategy 2 off a closed set is reached at several nodes, on
+    // one worker or across two; the harvest must still list it once
+    let no_back_scan = PruningConfig {
+        strategy2_duplicate: false,
+        ..PruningConfig::default()
+    };
+    let mut rng = StdRng::seed_from_u64(11);
+    for trial in 0..6 {
+        let d = random_dataset(&mut rng, 8, 10, 0.5);
+        let (min_sup, min_conf) = (1 + trial % 2, [0.0, 0.6][trial % 2]);
+        let params = MiningParams::new(trial as u32 % 2)
+            .min_sup(min_sup)
+            .min_conf(min_conf)
+            .lower_bounds(false);
+        let mut expected: Vec<_> = enumerate_rule_groups(&d, params.target_class)
+            .into_iter()
+            .filter(|g| g.sup_p >= min_sup && g.confidence() >= min_conf)
+            .map(|g| {
+                (
+                    g.upper.as_slice().to_vec(),
+                    g.rows.to_vec(),
+                    g.sup_p,
+                    g.sup_n,
+                )
+            })
+            .collect();
+        expected.sort();
+        for threads in [1, 2] {
+            let got = Farmer::new(params.clone())
+                .with_pruning(no_back_scan)
+                .with_harvest(true)
+                .with_parallelism(threads)
+                .mine(&d)
+                .groups;
+            let mut uppers: Vec<Vec<u32>> =
+                got.iter().map(|g| g.upper.as_slice().to_vec()).collect();
+            uppers.sort();
+            uppers.dedup();
+            assert_eq!(
+                uppers.len(),
+                got.len(),
+                "duplicate uppers: trial={trial} threads={threads}"
+            );
+            let mut harvest: Vec<_> = got
+                .iter()
+                .map(|g| {
+                    (
+                        g.upper.as_slice().to_vec(),
+                        g.support_set.to_vec(),
+                        g.sup,
+                        g.neg_sup,
+                    )
+                })
+                .collect();
+            harvest.sort();
+            assert_eq!(harvest, expected, "trial={trial} threads={threads}");
+        }
+    }
 }

@@ -32,9 +32,9 @@ fn workload() -> farmer_dataset::Dataset {
 /// long time — only ever mined under a deadline or a stop flag.
 fn endless_workload() -> farmer_dataset::Dataset {
     let m = SynthConfig {
-        n_rows: 30,
+        n_rows: 100,
         n_genes: 300,
-        n_class1: 15,
+        n_class1: 50,
         n_signature: 100,
         clusters_per_class: 2,
         cluster_spread: 1.6,

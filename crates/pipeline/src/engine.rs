@@ -27,9 +27,11 @@
 //! two halves partition the closed set, so replacing the touched
 //! entries with the restricted harvest restores the invariant.
 
-use farmer_core::measures::{self, chi_square, Contingency};
+use farmer_core::assembly::{self, Candidate, Thresholds};
 use farmer_core::minelb::mine_lower_bounds;
-use farmer_core::{canonical_sort, Engine, ExtraConstraint, Farmer, MiningParams, RuleGroup};
+use farmer_core::{
+    canonical_sort, Engine, Farmer, MineStats, MiningParams, NoOpObserver, RuleGroup,
+};
 use farmer_dataset::{ClassLabel, Dataset};
 use rowset::{IdList, RowSet};
 
@@ -224,12 +226,33 @@ impl IncrementalMiner {
     }
 }
 
-/// The miner's emission pipeline, replayed over the cache: thresholds
-/// in the same order and with the same arithmetic (so `f64`
-/// comparisons agree bit-for-bit), the same `(len, upper)` generality
-/// sort, the same domination predicate, and `mine_lower_bounds` for
-/// accepted groups only — memoized per entry, since the lower bounds
-/// of an untouched, unblocked group cannot move under appends.
+/// A cache entry that passed the thresholds, as assembly judges it.
+struct Admitted<'a> {
+    index: usize,
+    group: &'a CachedGroup,
+    conf: f64,
+}
+
+impl Candidate for Admitted<'_> {
+    fn upper(&self) -> &IdList {
+        &self.group.upper
+    }
+
+    fn counts(&self) -> (usize, usize) {
+        (self.group.sup, self.group.neg_sup)
+    }
+
+    fn conf(&self) -> f64 {
+        self.conf
+    }
+}
+
+/// The miner's assembly, replayed over the cache through the same
+/// [`assembly`] calls a cold mine makes — thresholds against the
+/// current margins, generality order, step 7 — then
+/// `mine_lower_bounds` for accepted groups only, memoized per entry,
+/// since the lower bounds of an untouched, unblocked group cannot move
+/// under appends.
 fn assemble(
     cache: &mut [CachedGroup],
     params: &MiningParams,
@@ -237,60 +260,25 @@ fn assemble(
     n: usize,
     m: usize,
 ) -> Vec<RuleGroup> {
-    let eff_min_conf = params.effective_min_conf(n, m);
-    // Candidates are cache indices so the lower-bound memo can be
-    // written back once a group is accepted.
-    let mut cands: Vec<(usize, f64)> = Vec::new();
-    for (i, g) in cache.iter().enumerate() {
-        if g.sup < params.min_sup {
-            continue;
-        }
-        let conf = g.sup as f64 / (g.sup + g.neg_sup) as f64;
-        if conf < eff_min_conf {
-            continue;
-        }
-        if params.min_chi > 0.0 {
-            let chi = chi_square(Contingency::new(g.sup + g.neg_sup, g.sup, n, m));
-            if chi < params.min_chi {
-                continue;
-            }
-        }
-        if !params.extra.is_empty() {
-            let t = Contingency::new(g.sup + g.neg_sup, g.sup, n, m);
-            let ok = params.extra.iter().all(|c| match *c {
-                ExtraConstraint::MinLift(v) => measures::lift(t) >= v,
-                ExtraConstraint::MinConviction(v) => measures::conviction(t) >= v,
-                ExtraConstraint::MinEntropyGain(v) => measures::entropy_gain(t) >= v,
-                ExtraConstraint::MinGiniGain(v) => measures::gini_gain(t) >= v,
-                ExtraConstraint::MinCorrelation(v) => measures::correlation(t) >= v,
-            });
-            if !ok {
-                continue;
-            }
-        }
-        cands.push((i, conf));
-    }
-    cands.sort_by(|&(a, _), &(b, _)| {
-        let (ga, gb) = (&cache[a], &cache[b]);
-        ga.upper
-            .len()
-            .cmp(&gb.upper.len())
-            .then_with(|| ga.upper.cmp(&gb.upper))
-    });
-    let mut accepted: Vec<(usize, f64)> = Vec::new();
-    for (i, conf) in cands {
-        let c = &cache[i];
-        let dominated = accepted.iter().any(|&(ai, aconf)| {
-            let a = &cache[ai];
-            a.upper.len() < c.upper.len() && a.upper.is_subset(&c.upper) && aconf >= conf
-        });
-        if !dominated {
-            accepted.push((i, conf));
-        }
-    }
+    let thresholds = Thresholds::new(params, n, m);
+    let mut admitted: Vec<Admitted> = cache
+        .iter()
+        .enumerate()
+        .filter_map(|(index, group)| {
+            let conf = thresholds.admit(group.sup, group.neg_sup)?;
+            Some(Admitted { index, group, conf })
+        })
+        .collect();
+    assembly::sort_dedup(&mut admitted);
+    // indices, so the lower-bound memo can be written back
+    let accepted: Vec<usize> =
+        assembly::retain_interesting(admitted, &mut NoOpObserver, &mut MineStats::default())
+            .into_iter()
+            .map(|a| a.index)
+            .collect();
     accepted
         .into_iter()
-        .map(|(i, _)| {
+        .map(|i| {
             let g = &mut cache[i];
             // MineLB's blockers depend only on the *set* of row∩upper
             // projections, so running it in original row-id space
