@@ -11,9 +11,10 @@
 //!   lift/conviction), χ², then the footnote-3 extras;
 //! * the `(|upper|, upper)` generality order and the removal of
 //!   duplicate uppers, [`sort_dedup`];
-//! * step 7's domination test, `is_dominated`: a strictly more general
-//!   kept group with confidence `>=` rejects the candidate, applied
-//!   over a whole sorted set by [`retain_interesting`].
+//! * step 7's domination test, `SubsetIndex`: a strictly more general
+//!   kept group with confidence `>=` rejects the candidate, answered
+//!   from item postings rather than a scan of everything kept, and
+//!   applied over a whole sorted set by [`retain_interesting`].
 //!
 //! The brute-force [`naive`] oracle deliberately keeps its own copy of
 //! every decision, so the tests check this module rather than trust it.
@@ -100,23 +101,84 @@ impl<'a> Thresholds<'a> {
     }
 }
 
-/// Step 7: whether some group in `kept` is strictly more general than
-/// `c` with confidence `>=` its own.
+/// Step 7's domination test over a growing set of kept groups: whether
+/// some kept group is strictly more general than a candidate with
+/// confidence `>=` its own.
 ///
-/// Uppers are closed, so a proper item subset has a strictly larger
-/// support set: the integer and confidence screens reject almost every
-/// pair before the subset test, which matters because this scan runs
-/// once per candidate over everything kept so far.
-pub(crate) fn is_dominated<C: Candidate>(kept: &[C], c: &C) -> bool {
-    let (p, n) = c.counts();
-    let (total, conf, upper) = (p + n, c.conf(), c.upper());
-    kept.iter().any(|g| {
-        let (gp, gn) = g.counts();
-        gp + gn > total
-            && g.conf() >= conf
-            && g.upper().len() < upper.len()
-            && g.upper().is_subset(upper)
-    })
+/// Kept groups are posted under each item of their upper bound. A
+/// query bumps a counter on every group posted under one of the
+/// candidate's items; a group whose counter reaches its own `|upper|`
+/// has every item in the candidate, i.e. its upper is a subset of the
+/// candidate's (kept groups with an empty upper are a subset of
+/// anything and are checked on their own). The same screens as a
+/// linear scan — total support `>`, confidence `>=`, `|upper|` `<` —
+/// then decide, so the verdict is the linear scan's, at a cost
+/// proportional to the postings the candidate's items touch rather
+/// than to everything kept. This is the counting match
+/// `serve::RuleGroupIndex` runs at θ = 1.
+#[derive(Default)]
+pub(crate) struct SubsetIndex {
+    /// Per kept group, in insertion order: total support, confidence
+    /// and `|upper|`.
+    kept: Vec<(usize, f64, u32)>,
+    /// `postings[item]` = kept groups whose upper contains `item`.
+    postings: Vec<Vec<u32>>,
+    /// Kept groups with an empty upper.
+    empty: Vec<u32>,
+    /// Query scratch: per-group counters (all zero between queries)
+    /// and the groups they were bumped on.
+    counts: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+impl SubsetIndex {
+    /// Whether a kept group dominates `c`.
+    pub(crate) fn dominates<C: Candidate>(&mut self, c: &C) -> bool {
+        let (p, n) = c.counts();
+        let (total, conf, len) = (p + n, c.conf(), c.upper().len());
+        let beats = |&(g_total, g_conf, g_len): &(usize, f64, u32)| {
+            g_total > total && g_conf >= conf && (g_len as usize) < len
+        };
+        if self.empty.iter().any(|&g| beats(&self.kept[g as usize])) {
+            return true;
+        }
+        for item in c.upper().iter() {
+            let Some(posting) = self.postings.get(item as usize) else {
+                continue;
+            };
+            for &g in posting {
+                if self.counts[g as usize] == 0 {
+                    self.touched.push(g);
+                }
+                self.counts[g as usize] += 1;
+            }
+        }
+        let mut dominated = false;
+        for g in self.touched.drain(..) {
+            let count = std::mem::take(&mut self.counts[g as usize]);
+            let kept = &self.kept[g as usize];
+            dominated = dominated || (count == kept.2 && beats(kept));
+        }
+        dominated
+    }
+
+    /// Adds `c` to the kept groups.
+    pub(crate) fn insert<C: Candidate>(&mut self, c: &C) {
+        let (p, n) = c.counts();
+        let g = self.kept.len() as u32;
+        self.kept.push((p + n, c.conf(), c.upper().len() as u32));
+        self.counts.push(0);
+        if c.upper().is_empty() {
+            self.empty.push(g);
+        }
+        for item in c.upper().iter() {
+            let item = item as usize;
+            if item >= self.postings.len() {
+                self.postings.resize_with(item + 1, Vec::new);
+            }
+            self.postings[item].push(g);
+        }
+    }
 }
 
 /// Sorts `cands` into generality order — fewer items first, ties by
@@ -141,14 +203,16 @@ pub fn retain_interesting<C: Candidate, O: MineObserver + ?Sized>(
     obs: &mut O,
     stats: &mut MineStats,
 ) -> Vec<C> {
+    let mut index = SubsetIndex::default();
     let mut kept = Vec::new();
     for c in sorted {
-        if is_dominated(&kept, &c) {
+        if index.dominates(&c) {
             stats.rejected_not_interesting += 1;
             obs.pruned(PruneReason::NotInteresting);
         } else {
             let (p, n) = c.counts();
             obs.group_emitted(p, n);
+            index.insert(&c);
             kept.push(c);
         }
     }
@@ -159,6 +223,7 @@ pub fn retain_interesting<C: Candidate, O: MineObserver + ?Sized>(
 mod tests {
     use super::*;
     use crate::session::CountingObserver;
+    use farmer_support::check::prelude::*;
 
     struct G(IdList, usize, usize);
 
@@ -189,12 +254,13 @@ mod tests {
 
     #[test]
     fn domination_needs_a_more_general_group_with_no_lower_confidence() {
-        let general = [g(&[1], 6, 2)]; // conf 0.75
-        assert!(is_dominated(&general, &g(&[1, 2], 2, 1))); // 0.67
-        assert!(is_dominated(&general, &g(&[1, 2], 3, 1))); // equal conf
-        assert!(!is_dominated(&general, &g(&[1, 2], 2, 0))); // 1.0
-        assert!(!is_dominated(&general, &g(&[2, 3], 1, 1))); // not a superset
-        assert!(!is_dominated(&general, &g(&[1], 6, 2))); // itself
+        let mut general = SubsetIndex::default();
+        general.insert(&g(&[1], 6, 2)); // conf 0.75
+        assert!(general.dominates(&g(&[1, 2], 2, 1))); // 0.67
+        assert!(general.dominates(&g(&[1, 2], 3, 1))); // equal conf
+        assert!(!general.dominates(&g(&[1, 2], 2, 0))); // 1.0
+        assert!(!general.dominates(&g(&[2, 3], 1, 1))); // not a superset
+        assert!(!general.dominates(&g(&[1], 6, 2))); // itself
     }
 
     #[test]
@@ -208,6 +274,88 @@ mod tests {
         assert_eq!(uppers, [&[1][..], &[1, 3]]);
         assert_eq!(stats.rejected_not_interesting, 1);
         assert_eq!((obs.emitted, obs.rejected_not_interesting), (2, 1));
+    }
+
+    /// Records each step-7 verdict in order: `true` = kept.
+    #[derive(Default)]
+    struct Verdicts(Vec<bool>);
+
+    impl MineObserver for Verdicts {
+        fn pruned(&mut self, reason: PruneReason) {
+            assert_eq!(reason, PruneReason::NotInteresting);
+            self.0.push(false);
+        }
+        fn group_emitted(&mut self, _: usize, _: usize) {
+            self.0.push(true);
+        }
+    }
+
+    /// Step 7 by definition: scan everything kept so far.
+    fn linear_verdicts(cands: &[G]) -> Vec<bool> {
+        let mut kept: Vec<&G> = Vec::new();
+        let mut verdicts = Vec::new();
+        for c in cands {
+            let dominated = kept.iter().any(|g| {
+                g.1 + g.2 > c.1 + c.2
+                    && g.conf() >= c.conf()
+                    && g.0.len() < c.0.len()
+                    && g.0.is_subset(&c.0)
+            });
+            if !dominated {
+                kept.push(c);
+            }
+            verdicts.push(!dominated);
+        }
+        verdicts
+    }
+
+    check! {
+        #![config(cases = 256)]
+
+        /// The indexed `retain_interesting` keeps exactly what a linear
+        /// scan keeps and reports the same verdicts in the same order.
+        /// Small item and count ranges make empty uppers, equal
+        /// confidences (1/2 vs 2/4), equal total supports and items no
+        /// kept group carries common — cases mined data rarely
+        /// produces.
+        #[test]
+        fn indexed_domination_equals_linear_scan(
+            raw in collection::vec(
+                (
+                    collection::btree_set(0u32..7, 0..4),
+                    1usize..5,
+                    0usize..4,
+                ),
+                0..40,
+            ),
+        ) {
+            let cands = || {
+                raw.iter()
+                    .map(|(items, p, n)| g(&items.iter().copied().collect::<Vec<_>>(), *p, *n))
+                    .collect::<Vec<G>>()
+            };
+            let mut sorted = cands();
+            sort_dedup(&mut sorted);
+            // the generality order the merge uses, and discovery-like
+            // arbitrary order as the sequential emit sees it
+            for order in [sorted, cands()] {
+                let want = linear_verdicts(&order);
+                let want_kept: Vec<IdList> = order
+                    .iter()
+                    .zip(&want)
+                    .filter(|(_, &k)| k)
+                    .map(|(c, _)| c.0.clone())
+                    .collect();
+                let mut obs = Verdicts::default();
+                let mut stats = MineStats::default();
+                let kept = retain_interesting(order, &mut obs, &mut stats);
+                let kept: Vec<IdList> = kept.into_iter().map(|c| c.0).collect();
+                prop_assert_eq!(&obs.0, &want);
+                prop_assert_eq!(kept, want_kept);
+                let rejected = want.iter().filter(|&&k| !k).count() as u64;
+                prop_assert_eq!(stats.rejected_not_interesting, rejected);
+            }
+        }
     }
 
     #[test]

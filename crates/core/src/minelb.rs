@@ -44,22 +44,28 @@ use rowset::{IdList, RowSet};
 pub fn mine_lower_bounds(upper: &IdList, support_set: &RowSet, data: &Dataset) -> Vec<IdList> {
     let width = upper.len();
     let item_of: Vec<u32> = upper.iter().collect();
-    let pos_of = |item: u32| item_of.binary_search(&item).ok();
 
     // Blocking sets: for each row outside R(A), the part of A it does
-    // contain (as positions in A). Keep only maximal ones (Lemma 3.11).
+    // contain (as positions in A), read off A's item columns — |A| bit
+    // tests per row rather than a scan of the whole row. Empty ones are
+    // no-ops (every bound is non-empty, so none is swallowed), repeats
+    // add nothing, and only maximal ones matter (Lemma 3.11).
+    let columns: Vec<&RowSet> = item_of.iter().map(|&i| data.item_rows(i)).collect();
     let mut blockers: Vec<RowSet> = Vec::new();
+    let mut b = RowSet::empty(width);
     for r in 0..data.n_rows() {
         if support_set.contains(r) {
             continue;
         }
-        let mut b = RowSet::empty(width);
-        for item in data.row(r as u32).iter() {
-            if let Some(p) = pos_of(item) {
+        b.clear();
+        for (p, col) in columns.iter().enumerate() {
+            if col.contains(r) {
                 b.insert(p);
             }
         }
-        blockers.push(b);
+        if !b.is_empty() && !blockers.contains(&b) {
+            blockers.push(b.clone());
+        }
     }
     retain_maximal(&mut blockers);
 

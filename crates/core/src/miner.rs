@@ -1,6 +1,6 @@
 //! The FARMER search: depth-first row enumeration with pruning.
 
-use crate::assembly::{self, Candidate, Thresholds};
+use crate::assembly::{self, Candidate, SubsetIndex, Thresholds};
 use crate::cond::{BitsetNode, CondNode, Inspect, PointerNode};
 use crate::measures::{self, chi_square_upper_bound, convex_upper_bound, Contingency};
 use crate::memo::{self, MemoTable};
@@ -430,6 +430,7 @@ impl Farmer {
             lane: trace::LANE_MAIN,
             stats: MineStats::default(),
             irgs: Vec::new(),
+            accepted: SubsetIndex::default(),
             frontier,
             memo: memo.as_ref(),
             split: None,
@@ -593,6 +594,7 @@ impl Farmer {
                             lane,
                             stats: MineStats::default(),
                             irgs: Vec::new(),
+                            accepted: SubsetIndex::default(),
                             frontier,
                             memo: memo_ref,
                             split: Some(SplitCtx {
@@ -980,6 +982,9 @@ struct Ctx<'a, O: MineObserver + ?Sized, T: TraceSink + ?Sized> {
     /// Emitted groups: the accepted IRGs in the sequential run, every
     /// threshold-passing group in a worker.
     irgs: Vec<Pending>,
+    /// The sequential run's step-7 index over `irgs` (empty in a
+    /// worker).
+    accepted: SubsetIndex,
     /// Delta-restricted remine: prune subtrees that cannot reach these
     /// rows and emit only groups whose support set touches them, in
     /// reordered (ORD) id space. `None` = unrestricted.
@@ -1440,10 +1445,13 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
         };
         // the sequential run judges here, against everything accepted so
         // far; a worker only collects, and the merge judges
-        if self.split.is_none() && assembly::is_dominated(&self.irgs, &p) {
-            self.stats.rejected_not_interesting += 1;
-            self.obs.pruned(PruneReason::NotInteresting);
-            return;
+        if self.split.is_none() {
+            if self.accepted.dominates(&p) {
+                self.stats.rejected_not_interesting += 1;
+                self.obs.pruned(PruneReason::NotInteresting);
+                return;
+            }
+            self.accepted.insert(&p);
         }
         self.obs.group_emitted(sup_p, sup_n);
         self.irgs.push(p);

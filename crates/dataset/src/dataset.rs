@@ -389,6 +389,18 @@ impl DatasetBuilder {
     /// Adds a row given item display names (interned on first use) and a
     /// label. Returns the new row id.
     pub fn add_row_named(&mut self, items: &[&str], label: ClassLabel) -> RowId {
+        let ids: Vec<ItemId> = items.iter().map(|&n| self.intern_item(n)).collect();
+        self.add_row_interned(ids, label)
+    }
+
+    /// Adds a row of item ids returned by [`intern_item`](Self::intern_item)
+    /// and a label: a named row without a name lookup per item. Returns
+    /// the new row id.
+    pub fn add_row_interned<I: IntoIterator<Item = ItemId>>(
+        &mut self,
+        items: I,
+        label: ClassLabel,
+    ) -> RowId {
         assert_ne!(
             self.named_mode,
             Some(false),
@@ -396,19 +408,14 @@ impl DatasetBuilder {
         );
         self.named_mode = Some(true);
         assert!(label < self.n_classes, "label {label} out of range");
-        let ids: Vec<ItemId> = items
-            .iter()
-            .map(|&n| match self.by_name.get(n) {
-                Some(&id) => id,
-                None => {
-                    let id = self.names.len() as ItemId;
-                    self.names.push(n.to_string());
-                    self.by_name.insert(n.to_string(), id);
-                    id
-                }
-            })
-            .collect();
-        self.rows.push(IdList::from_iter(ids));
+        let list = IdList::from_iter(items);
+        if let Some(&m) = list.as_slice().last() {
+            assert!(
+                (m as usize) < self.names.len(),
+                "item {m} was never interned"
+            );
+        }
+        self.rows.push(list);
         self.labels.push(label);
         (self.rows.len() - 1) as RowId
     }

@@ -266,17 +266,10 @@ impl ExpressionMatrix {
             );
         }
         for r in 0..self.n_rows {
-            let mut row_names: Vec<String> = Vec::with_capacity(self.n_genes);
-            for (g, cuts) in bins.iter().enumerate() {
-                if item_ids[g].is_empty() {
-                    continue;
-                }
-                let v = self.value(r, g);
-                let k = cuts.partition_point(|&c| c <= v);
-                row_names.push(format!("{}@{k}", self.gene_names[g]));
-            }
-            let refs: Vec<&str> = row_names.iter().map(String::as_str).collect();
-            b.add_row_named(&refs, self.labels[r]);
+            let row = (0..self.n_genes)
+                .filter(|&g| !item_ids[g].is_empty())
+                .map(|g| item_ids[g][bins[g].partition_point(|&c| c <= self.value(r, g))]);
+            b.add_row_interned(row, self.labels[r]);
         }
         b.build()
     }
@@ -327,6 +320,53 @@ mod tests {
         assert!(d.item_rows(g1_2).contains(0)); // 5.0 >= 4.0
         let g1_0 = d.item_by_name("g1@0").unwrap();
         assert!(d.item_rows(g1_0).contains(1)); // 1.0 < 2.0
+    }
+
+    /// Rows built from interned ids equal rows built by formatting and
+    /// interning every cell's `"<gene>@<k>"` name — including a repeated
+    /// gene name, whose bins share items, and a NaN cell.
+    #[test]
+    fn to_dataset_matches_the_named_path() {
+        let rows = [
+            [0.1, 7.0, 1.0, 5.0],
+            [0.9, 7.0, 2.0, 1.0],
+            [2.0, 7.0, f64::NAN, 3.0],
+            [1.5, 7.0, 3.0, 4.5],
+        ];
+        let m = ExpressionMatrix::new(4, 4, rows.concat(), vec![0, 0, 1, 1], 2)
+            .with_gene_names(["a", "b", "a", "c"].map(String::from).to_vec());
+        let bins = vec![vec![1.0], vec![], vec![2.5], vec![2.0, 4.0]];
+        for drop_unsplit in [false, true] {
+            let mut b = DatasetBuilder::new(2);
+            for (g, cuts) in bins.iter().enumerate() {
+                if !(drop_unsplit && cuts.is_empty()) {
+                    for k in 0..=cuts.len() {
+                        b.intern_item(&format!("{}@{k}", m.gene_name(g)));
+                    }
+                }
+            }
+            for r in 0..m.n_rows() {
+                let names: Vec<String> = (0..m.n_genes())
+                    .filter(|&g| !(drop_unsplit && bins[g].is_empty()))
+                    .map(|g| {
+                        let k = bins[g].partition_point(|&c| c <= m.value(r, g));
+                        format!("{}@{k}", m.gene_name(g))
+                    })
+                    .collect();
+                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+                b.add_row_named(&refs, m.label(r));
+            }
+            let (want, got) = (b.build(), m.to_dataset(&bins, drop_unsplit));
+            assert_eq!(got.n_items(), want.n_items());
+            assert_eq!(got.labels(), want.labels());
+            for r in 0..m.n_rows() as u32 {
+                assert_eq!(got.row(r), want.row(r), "row {r}");
+            }
+            for i in 0..want.n_items() as u32 {
+                assert_eq!(got.item_name(i), want.item_name(i));
+                assert_eq!(got.item_rows(i), want.item_rows(i));
+            }
+        }
     }
 
     #[test]

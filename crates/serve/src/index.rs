@@ -7,6 +7,7 @@ use farmer_core::RuleGroup;
 use farmer_dataset::ClassLabel;
 use farmer_store::{Artifact, ArtifactMeta};
 use rowset::IdList;
+use std::collections::HashMap;
 
 /// The serving layer's answer to `classify(sample)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,6 +37,7 @@ pub struct Prediction {
 /// tests in this crate.
 pub struct RuleGroupIndex {
     meta: ArtifactMeta,
+    items: ItemNames,
     groups: Vec<RuleGroup>,
     /// `irg_rule(groups[g], theta)`, parallel to `groups`.
     rules: Vec<ScoredRule>,
@@ -89,6 +91,7 @@ impl RuleGroupIndex {
         }
 
         RuleGroupIndex {
+            items: ItemNames::new(&meta),
             meta,
             groups,
             rules,
@@ -184,19 +187,48 @@ impl RuleGroupIndex {
         &self,
         tokens: impl IntoIterator<Item = &'t str>,
     ) -> (IdList, Vec<String>) {
+        self.items.parse(tokens)
+    }
+}
+
+/// An artifact's item dictionary keyed by name, built once with the
+/// index so that resolving a request's tokens costs one hash lookup
+/// each rather than a scan of every item name.
+pub(crate) struct ItemNames {
+    by_name: HashMap<String, u32>,
+    n_items: usize,
+}
+
+impl ItemNames {
+    pub(crate) fn new(meta: &ArtifactMeta) -> Self {
+        let mut by_name = HashMap::with_capacity(meta.n_items());
+        for (id, name) in meta.item_names.iter().enumerate() {
+            // a repeated name resolves to its first id, as a scan would
+            by_name.entry(name.clone()).or_insert(id as u32);
+        }
+        ItemNames {
+            by_name,
+            n_items: meta.n_items(),
+        }
+    }
+
+    /// [`RuleGroupIndex::parse_sample`]: name first, then numeric id,
+    /// unknown tokens returned in order.
+    pub(crate) fn parse<'t>(
+        &self,
+        tokens: impl IntoIterator<Item = &'t str>,
+    ) -> (IdList, Vec<String>) {
         let mut ids = Vec::new();
         let mut unknown = Vec::new();
         for tok in tokens {
-            if let Some(id) = self.meta.item_by_name(tok) {
-                ids.push(id);
-            } else if let Ok(id) = tok.parse::<u32>() {
-                if (id as usize) < self.meta.n_items() {
-                    ids.push(id);
-                } else {
-                    unknown.push(tok.to_string());
-                }
-            } else {
-                unknown.push(tok.to_string());
+            let id = self.by_name.get(tok).copied().or_else(|| {
+                tok.parse::<u32>()
+                    .ok()
+                    .filter(|&id| (id as usize) < self.n_items)
+            });
+            match id {
+                Some(id) => ids.push(id),
+                None => unknown.push(tok.to_string()),
             }
         }
         (IdList::from_iter(ids), unknown)
@@ -284,6 +316,33 @@ mod tests {
         let (ids, unknown) = idx.parse_sample([name2.as_str(), "0", "nope", "99"]);
         assert_eq!(ids, IdList::from_iter([0, 2]));
         assert_eq!(unknown, vec!["nope".to_string(), "99".to_string()]);
+    }
+
+    /// An item *named* "7" wins over numeric id 7, a repeated name
+    /// resolves to its first id, and both indexes agree.
+    #[test]
+    fn parse_sample_prefers_names_over_numeric_ids() {
+        let mut item_names: Vec<String> = (0..10).map(|i| format!("i{i}")).collect();
+        item_names[2] = "7".into();
+        item_names[5] = "dup".into();
+        item_names[8] = "dup".into();
+        let meta = ArtifactMeta {
+            n_rows: 1,
+            class_names: vec!["c0".into()],
+            class_counts: vec![1],
+            item_names,
+        };
+        let art = Artifact {
+            meta,
+            groups: Vec::new(),
+        };
+        let tokens = ["7", "dup", "9", "i7", "10"];
+        let idx = RuleGroupIndex::from_artifact(art.clone());
+        let (ids, unknown) = idx.parse_sample(tokens);
+        assert_eq!(ids, IdList::from_iter([2, 5, 7, 9]));
+        assert_eq!(unknown, vec!["10".to_string()]);
+        let sharded = crate::ShardedIndex::build(art, idx.theta(), 2);
+        assert_eq!(sharded.parse_sample(tokens), (ids, unknown));
     }
 
     #[test]

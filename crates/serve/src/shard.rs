@@ -18,7 +18,7 @@
 //! win: a hot swap rebuilds the index across the pool instead of on
 //! one core.
 
-use crate::index::{smallest_meeting, Prediction};
+use crate::index::{smallest_meeting, ItemNames, Prediction};
 use farmer_classify::{irg_rule, rule_cmp, ScoredRule, IRG_FINGERPRINT_THETA};
 use farmer_core::RuleGroup;
 use farmer_dataset::ClassLabel;
@@ -76,6 +76,7 @@ impl Shard {
 /// answer-for-answer equivalent to [`RuleGroupIndex`](crate::RuleGroupIndex).
 pub struct ShardedIndex {
     meta: ArtifactMeta,
+    items: ItemNames,
     groups: Vec<RuleGroup>,
     rules: Vec<ScoredRule>,
     theta: f64,
@@ -143,6 +144,7 @@ impl ShardedIndex {
             .collect();
 
         ShardedIndex {
+            items: ItemNames::new(&meta),
             meta,
             groups,
             rules,
@@ -253,22 +255,7 @@ impl ShardedIndex {
         &self,
         tokens: impl IntoIterator<Item = &'t str>,
     ) -> (IdList, Vec<String>) {
-        let mut ids = Vec::new();
-        let mut unknown = Vec::new();
-        for tok in tokens {
-            if let Some(id) = self.meta.item_by_name(tok) {
-                ids.push(id);
-            } else if let Ok(id) = tok.parse::<u32>() {
-                if (id as usize) < self.meta.n_items() {
-                    ids.push(id);
-                } else {
-                    unknown.push(tok.to_string());
-                }
-            } else {
-                unknown.push(tok.to_string());
-            }
-        }
-        (IdList::from_iter(ids), unknown)
+        self.items.parse(tokens)
     }
 }
 

@@ -58,14 +58,6 @@ impl ArtifactMeta {
             .map(|(i, _)| i as ClassLabel)
             .unwrap_or(0)
     }
-
-    /// Looks up an item id by display name.
-    pub fn item_by_name(&self, name: &str) -> Option<u32> {
-        self.item_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| i as u32)
-    }
 }
 
 #[cfg(test)]
@@ -86,8 +78,7 @@ mod tests {
         assert_eq!(m.class_counts, vec![1, 2]);
         assert_eq!(m.n_items(), 3);
         assert_eq!(m.majority_class(), 1);
-        assert_eq!(m.item_by_name(d.item_name(2)), Some(2));
-        assert_eq!(m.item_by_name("no-such-item"), None);
+        assert_eq!(m.item_names[2], d.item_name(2));
     }
 
     #[test]
